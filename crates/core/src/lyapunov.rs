@@ -119,6 +119,28 @@ impl LyapunovState {
         }
     }
 
+    /// `rounds` calls of [`LyapunovState::begin_round`], bit for bit, in
+    /// time independent of `rounds` once `P(t)` has crossed `κ`.
+    ///
+    /// The data budget takes all grants in one addition, exact because
+    /// the budget is a whole number of bytes (below 2^53; beyond that it
+    /// steps). `P(t)` still steps one grant at a time, but only until it
+    /// exceeds `κ` (or stops moving): after that no further round changes
+    /// it.
+    pub fn begin_idle_rounds(&mut self, rounds: u64, data_grant: u64, energy_grant: f64) {
+        self.data_budget = add_round_grants(self.data_budget, rounds, data_grant);
+        let grant = energy_grant.max(0.0);
+        let mut left = rounds;
+        while left > 0 && self.p <= self.cfg.kappa {
+            let next = self.p + grant;
+            if next.to_bits() == self.p.to_bits() {
+                break;
+            }
+            self.p = next;
+            left -= 1;
+        }
+    }
+
     /// Records arrival of an item whose presentations total
     /// `item_total_size` bytes (the `ν(t)` term of Eq. 4).
     pub fn on_enqueue(&mut self, item_total_size: u64) {
@@ -139,6 +161,29 @@ impl LyapunovState {
     pub fn on_drop(&mut self, item_total_size: u64) {
         self.q = (self.q - item_total_size as f64).max(0.0);
     }
+}
+
+/// `budget` after `rounds` successive `budget += grant as f64` steps,
+/// bit for bit.
+///
+/// Budgets are whole byte counts (grants and deliveries are integers),
+/// and while every partial sum stays below 2^53 each step is exact, so
+/// one addition of `rounds × grant` gives the same value. Budgets outside
+/// that range fall back to stepping.
+pub(crate) fn add_round_grants(budget: f64, rounds: u64, grant: u64) -> f64 {
+    const EXACT_LIMIT: f64 = 9_007_199_254_740_992.0; // 2^53
+    if rounds == 0 {
+        return budget;
+    }
+    let total = u128::from(rounds) * u128::from(grant);
+    if budget >= 0.0 && budget.fract() == 0.0 && total < 1u128 << 53 {
+        // A rounded sum below 2^53 means the exact sum is below it too.
+        let sum = budget + total as f64;
+        if sum < EXACT_LIMIT {
+            return sum;
+        }
+    }
+    (0..rounds).fold(budget, |b, _| b + grant as f64)
 }
 
 #[cfg(test)]
@@ -282,5 +327,101 @@ mod tests {
         let d_hi = hi.adjusted_utility(100, 0.0, 1.0) - hi.adjusted_utility(100, 0.0, 0.0);
         let d_lo = lo.adjusted_utility(100, 0.0, 1.0) - lo.adjusted_utility(100, 0.0, 0.0);
         assert!(d_hi > d_lo);
+    }
+}
+
+#[cfg(test)]
+mod idle_rounds {
+    use super::*;
+    use proptest::prelude::*;
+
+    fn at(p: f64, kappa: f64, data_budget: f64) -> LyapunovState {
+        let cfg = LyapunovConfig { v: 1000.0, kappa, initial_energy: p };
+        LyapunovState { cfg, q: 0.0, p, data_budget }
+    }
+
+    /// Skipping `k` rounds and stepping them one by one agree bit for bit.
+    fn assert_skip_matches_steps(start: &LyapunovState, k: u64, grant: u64, energy: f64) {
+        let mut stepped = start.clone();
+        for _ in 0..k {
+            stepped.begin_round(grant, energy);
+        }
+        let mut skipped = start.clone();
+        skipped.begin_idle_rounds(k, grant, energy);
+        assert_eq!(
+            (skipped.p.to_bits(), skipped.data_budget.to_bits(), skipped.q.to_bits()),
+            (stepped.p.to_bits(), stepped.data_budget.to_bits(), stepped.q.to_bits()),
+            "k={k} grant={grant} energy={energy} from {start:?}: {skipped:?} vs {stepped:?}"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Fractional energy grants, P starting on either side of κ (so
+        /// it crosses κ part-way for many cases), whole byte budgets.
+        #[test]
+        fn skip_equals_stepping(
+            p in 0.0f64..6_000.0,
+            kappa in 1.0f64..5_000.0,
+            energy in -50.0f64..900.0,
+            budget in 0u64..1 << 40,
+            grant in 0u64..10_000_000,
+            k in 0u64..3_000,
+        ) {
+            assert_skip_matches_steps(&at(p, kappa, budget as f64), k, grant, energy);
+        }
+
+        /// Tiny energy grants keep P below κ for the whole skip, so the
+        /// energy side steps every round.
+        #[test]
+        fn skip_equals_stepping_below_kappa(
+            p in 0.0f64..100.0,
+            energy in 0.0f64..1e-3,
+            grant in 0u64..1 << 20,
+            k in 0u64..3_000,
+        ) {
+            assert_skip_matches_steps(&at(p, 3_000.0, 0.0), k, grant, energy);
+        }
+
+        /// Budgets near 2^53, where one addition would round differently
+        /// from stepping, and fractional budgets a hand-edited checkpoint
+        /// could carry: both take the stepping path.
+        #[test]
+        fn skip_equals_stepping_for_large_and_fractional_budgets(
+            high in (1u64 << 52)..(1u64 << 53),
+            frac in 0.0f64..1e6,
+            grant in 0u64..1 << 24,
+            k in 0u64..600,
+        ) {
+            assert_skip_matches_steps(&at(3_000.0, 3_000.0, high as f64), k, grant, 1.5);
+            assert_skip_matches_steps(&at(10.0, 3_000.0, frac), k, grant, 0.25);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// Long idle stretches: up to a million rounds in one skip.
+        #[test]
+        fn skip_equals_stepping_over_a_million_rounds(
+            p in 0.0f64..3_000.0,
+            energy in 0.0f64..0.01,
+            grant in 0u64..8_000_000,
+            k in 500_000u64..=1_000_000,
+        ) {
+            assert_skip_matches_steps(&at(p, 3_000.0, 0.0), k, grant, energy);
+        }
+    }
+
+    #[test]
+    fn skip_handles_the_edges() {
+        for start in [at(3_000.0, 3_000.0, 0.0), at(-0.0, 3_000.0, -0.0), at(f64::NAN, 1.0, 0.0)] {
+            for (k, grant, energy) in
+                [(0, 0, 0.0), (1, 0, 0.0), (1, 1, -0.0), (7, u64::MAX, 3.0), (3, 5, f64::NAN)]
+            {
+                assert_skip_matches_steps(&start, k, grant, energy);
+            }
+        }
     }
 }

@@ -188,6 +188,41 @@ pub trait Policy: NotificationScheduler {
         obs: &mut dyn SelectionObserver,
     ) -> Vec<DeliveredNotification>;
 
+    /// Whether the policy is idle: until its next arrival, every round is
+    /// one [`Policy::skip_idle_rounds`] round. An idle policy's
+    /// [`Policy::select_round`] selects nothing, reports nothing to its
+    /// observer, and changes only grant bookkeeping that depends on the
+    /// round's data and energy grants alone.
+    ///
+    /// A driver may then stop visiting the policy and later settle the
+    /// rounds it missed with one [`Policy::skip_idle_rounds`] call, before
+    /// the next arrival, checkpoint or state read.
+    ///
+    /// The default, `false`, is always safe: the policy is visited every
+    /// round. A policy whose empty-queue rounds do more keeps it; the
+    /// adaptive policy, for one, reports a shaping decision every round
+    /// and scales its grant by its estimators.
+    fn is_idle(&self) -> bool {
+        false
+    }
+
+    /// Settles `rounds` missed rounds of an idle policy, each granting
+    /// `data_grant` bytes and `energy_grant` joules.
+    ///
+    /// Must leave the policy bit-for-bit as `rounds` calls of
+    /// [`Policy::select_round`] on its empty queue would, with those
+    /// grants and any observer. Only called while [`Policy::is_idle`]
+    /// holds; the default (for policies that are never idle) accepts
+    /// only `rounds == 0`.
+    ///
+    /// # Panics
+    ///
+    /// The default panics when `rounds > 0`.
+    fn skip_idle_rounds(&mut self, rounds: u64, data_grant: u64, energy_grant: f64) {
+        let _ = (data_grant, energy_grant);
+        assert_eq!(rounds, 0, "{} is never idle, so it has no rounds to skip", self.name());
+    }
+
     /// Captures the policy's complete mutable state.
     fn checkpoint(&self) -> PolicyCheckpoint;
 
@@ -235,6 +270,14 @@ impl Policy for Box<dyn Policy + Send> {
         obs: &mut dyn SelectionObserver,
     ) -> Vec<DeliveredNotification> {
         (**self).select_round(ctx, obs)
+    }
+
+    fn is_idle(&self) -> bool {
+        (**self).is_idle()
+    }
+
+    fn skip_idle_rounds(&mut self, rounds: u64, data_grant: u64, energy_grant: f64) {
+        (**self).skip_idle_rounds(rounds, data_grant, energy_grant);
     }
 
     fn checkpoint(&self) -> PolicyCheckpoint {

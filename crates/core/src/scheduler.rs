@@ -16,7 +16,7 @@
 
 use crate::content::ContentItem;
 use crate::ids::ContentId;
-use crate::lyapunov::{LyapunovConfig, LyapunovState};
+use crate::lyapunov::{add_round_grants, LyapunovConfig, LyapunovState};
 use crate::mckp::{select_greedy_into, GreedyOptions, GreedyScratch, MckpItem};
 use crate::policy::{
     FixedLevelCheckpoint, NoopObserver, Policy, PolicyCheckpoint, SelectDecision,
@@ -662,6 +662,16 @@ impl Policy for RichNoteScheduler {
         self.round_impl(ctx, obs)
     }
 
+    /// An empty-queue round runs only [`LyapunovState::begin_round`]
+    /// (expiry has nothing to drop, and nothing is reported).
+    fn is_idle(&self) -> bool {
+        self.queue.is_empty()
+    }
+
+    fn skip_idle_rounds(&mut self, rounds: u64, data_grant: u64, energy_grant: f64) {
+        self.lyap.begin_idle_rounds(rounds, data_grant, energy_grant);
+    }
+
     fn checkpoint(&self) -> PolicyCheckpoint {
         PolicyCheckpoint::RichNote(RichNoteScheduler::checkpoint(self))
     }
@@ -748,6 +758,11 @@ impl FixedLevelState {
         }
         report_suppressed(obs, ctx.round, policy, cohort, self.queue.len());
         delivered
+    }
+
+    /// `rounds` empty-queue [`FixedLevelState::drain`] calls.
+    fn skip_idle_rounds(&mut self, rounds: u64, data_grant: u64) {
+        self.data_budget = add_round_grants(self.data_budget, rounds, data_grant);
     }
 
     fn checkpoint(&self) -> FixedLevelCheckpoint {
@@ -865,6 +880,15 @@ impl Policy for FifoScheduler {
         self.state.drain("FIFO", ctx, obs)
     }
 
+    /// An empty-queue round only adds the data grant to the budget.
+    fn is_idle(&self) -> bool {
+        self.state.queue.is_empty()
+    }
+
+    fn skip_idle_rounds(&mut self, rounds: u64, data_grant: u64, _energy_grant: f64) {
+        self.state.skip_idle_rounds(rounds, data_grant);
+    }
+
     fn checkpoint(&self) -> PolicyCheckpoint {
         PolicyCheckpoint::Fifo(self.state.checkpoint())
     }
@@ -946,6 +970,15 @@ impl Policy for UtilScheduler {
     ) -> Vec<DeliveredNotification> {
         self.resort();
         self.state.drain("UTIL", ctx, obs)
+    }
+
+    /// An empty-queue round only adds the data grant to the budget.
+    fn is_idle(&self) -> bool {
+        self.state.queue.is_empty()
+    }
+
+    fn skip_idle_rounds(&mut self, rounds: u64, data_grant: u64, _energy_grant: f64) {
+        self.state.skip_idle_rounds(rounds, data_grant);
     }
 
     fn checkpoint(&self) -> PolicyCheckpoint {
@@ -1325,6 +1358,37 @@ mod tests {
             fifo2.run_round(&online_ctx(1, 110_000)),
             fifo.run_round(&online_ctx(1, 110_000))
         );
+    }
+
+    #[test]
+    fn idle_skip_matches_empty_rounds_for_every_idle_policy() {
+        let policies: [fn() -> Box<dyn Policy + Send>; 3] = [
+            || Box::new(RichNoteScheduler::builder().build()),
+            || Box::new(FifoScheduler::builder().fixed_level(2).build()),
+            || Box::new(UtilScheduler::builder().fixed_level(3).build()),
+        ];
+        for make in policies {
+            let mut p = make();
+            p.observe_arrivals((0..3).map(|i| notification(i, 0.5, 0.0)).collect());
+            let mut round = 0;
+            while !p.is_idle() {
+                p.select_round(&online_ctx(round, 2_000_000), &mut NoopObserver);
+                round += 1;
+            }
+            let mut stepped = <Box<dyn Policy + Send>>::restore(p.checkpoint()).unwrap();
+            for r in round..round + 50 {
+                let mut obs = RecordingObserver::default();
+                assert!(stepped.select_round(&online_ctx(r, 70_001), &mut obs).is_empty());
+                assert!(obs.selects.is_empty(), "an idle round reports no selection");
+            }
+            p.skip_idle_rounds(50, 70_001, 3_000.0);
+            assert_eq!(
+                format!("{:?}", p.checkpoint()),
+                format!("{:?}", stepped.checkpoint()),
+                "{}",
+                p.name()
+            );
+        }
     }
 
     #[test]

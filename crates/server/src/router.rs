@@ -47,8 +47,10 @@ pub struct Router {
     queues: Vec<Arc<crate::queue::BoundedQueue<ShardMsg>>>,
     /// Per-session highest applied publish sequence number.
     sessions: Mutex<HashMap<u64, u64>>,
-    /// Subscription edges, recorded for checkpointing (the broker itself
-    /// is not serializable across the crate boundary).
+    /// Subscription edges in registration order, recorded for
+    /// checkpointing (the broker itself is not serializable across the
+    /// crate boundary). The broker's topic index answers membership, so
+    /// deduplication is O(1) without a second set.
     subscriptions: Mutex<Vec<SubscriptionEntry>>,
     draining: AtomicBool,
     /// Publications refused at the router because of draining.
@@ -86,11 +88,15 @@ impl Router {
     /// pacing happens in the shard schedulers, so buffering again in the
     /// broker would double-delay every notification.
     pub fn subscribe(&self, user: UserId, topic: Topic) {
-        self.broker.lock().unwrap().subscribe_with_mode(user, topic, DeliveryMode::Realtime);
-        let mut subs = self.subscriptions.lock().unwrap();
-        if !subs.iter().any(|s| s.user == user && s.topic == topic) {
-            subs.push(SubscriptionEntry { user, topic });
+        // The broker lock is held across the membership check and the
+        // push, so concurrent subscribes of one edge record it once.
+        let mut broker = self.broker.lock().expect("no thread panics holding the broker");
+        if broker.is_subscribed(user, topic) {
+            return;
         }
+        broker.subscribe_with_mode(user, topic, DeliveryMode::Realtime);
+        let mut subs = self.subscriptions.lock().expect("no thread panics holding the table");
+        subs.push(SubscriptionEntry { user, topic });
     }
 
     /// Begins (or resumes) a session, returning the highest publish
@@ -348,6 +354,35 @@ mod tests {
             r.apply_publish_traced(0, 2, Topic::FriendFeed(user), item(2, 1), now, Some(222));
         assert_eq!(outcome, PublishOutcome::Routed { matched: 1 });
         assert_eq!(dropped, vec![111], "the shed ingest's trace is surfaced");
+    }
+
+    #[test]
+    fn duplicate_subscribes_are_dropped_in_registration_order() {
+        let r = router(2);
+        let (a, b) = (UserId::new(5), UserId::new(2));
+        let edges = [
+            (a, Topic::FriendFeed(a)),
+            (b, Topic::FriendFeed(a)),
+            (a, Topic::FriendFeed(a)),
+            (b, Topic::FriendFeed(b)),
+            (b, Topic::FriendFeed(a)),
+        ];
+        for (user, topic) in edges {
+            r.subscribe(user, topic);
+        }
+        let want = [edges[0], edges[1], edges[3]]
+            .map(|(user, topic)| SubscriptionEntry { user, topic })
+            .to_vec();
+        assert_eq!(r.subscription_entries(), want);
+        // Restoring the table re-subscribes it without duplicating edges.
+        let restored = router(2);
+        restored.restore(&[], &r.subscription_entries());
+        restored.restore(&[], &r.subscription_entries());
+        assert_eq!(restored.subscription_entries(), want);
+        assert_eq!(
+            restored.apply_publish(0, 1, Topic::FriendFeed(a), item(1, 5), Instant::now()),
+            PublishOutcome::Routed { matched: 2 }
+        );
     }
 
     #[test]

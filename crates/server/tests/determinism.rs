@@ -3,15 +3,19 @@
 //! [`RichNoteScheduler`] per user, and shard count must be invisible in
 //! the selections.
 
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
 use richnote_core::scheduler::{
     NotificationScheduler, QueuedNotification, RichNoteScheduler, RoundContext,
 };
-use richnote_core::{ContentId, ContentItem, UserId};
+use richnote_core::{ContentId, ContentItem, NoopObserver, Policy, PolicyName, UserId};
 use richnote_pubsub::Topic;
+use richnote_server::checkpoint::UserCheckpoint;
 use richnote_server::shard::content_utility;
-use richnote_server::{shard_of, Client, Server, ServerConfig, ShardState};
+use richnote_server::{shard_of, Client, Server, ServerConfig, ShardCheckpoint, ShardState};
 use richnote_trace::{TraceConfig, TraceGenerator};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use std::time::Instant;
 
 const ROUNDS: u64 = 48;
@@ -195,4 +199,234 @@ fn wire_protocol_survives_a_full_conversation() {
     write_frame(&mut buf, &resp).unwrap();
     let mut cursor = &buf[..];
     assert_eq!(read_frame::<_, Response>(&mut cursor).unwrap().unwrap(), resp);
+}
+
+/// One round's arrivals: `(recipient, item)` pairs.
+type Batch = Vec<(UserId, ContentItem)>;
+
+/// A sparse random arrival schedule over `rounds` rounds: a few dozen
+/// users scattered over a wide id range, each receiving work in only a
+/// small share of rounds (occasionally a burst larger than one round's
+/// budget), so users keep turning idle and back.
+fn sparse_schedule(seed: u64, rounds: usize) -> Vec<Batch> {
+    let pool = trace_items();
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let users: Vec<UserId> =
+        (0..rng.gen_range(5..40)).map(|_| UserId::new(rng.gen_range(0..100_000))).collect();
+    let density = [0.005, 0.03, 0.15][rng.gen_range(0..3)];
+    let mut next_id = 0;
+    (0..rounds)
+        .map(|_| {
+            let mut batch = Batch::new();
+            for &user in &users {
+                if !rng.gen_bool(density) {
+                    continue;
+                }
+                let n = if rng.gen_bool(0.1) { rng.gen_range(10..30) } else { rng.gen_range(1..4) };
+                for _ in 0..n {
+                    let mut item = pool[rng.gen_range(0..pool.len())].clone();
+                    item.id = ContentId::new(next_id);
+                    item.recipient = user;
+                    next_id += 1;
+                    batch.push((user, item));
+                }
+            }
+            batch
+        })
+        .collect()
+}
+
+/// A daemon config with per-seed grants: a tight data grant keeps bursts
+/// queued across rounds, and a fractional energy grant makes `P(t)`
+/// climb back over `κ` across several idle rounds.
+fn sparse_config(seed: u64) -> ServerConfig {
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0x5eed);
+    ServerConfig {
+        data_grant: [400_000, 60_000, 9_000][rng.gen_range(0..3)],
+        energy_grant: [3_000.0, 437.25, 0.75][rng.gen_range(0..3)],
+        ..ServerConfig::default()
+    }
+}
+
+/// The eager reference for [`ShardState`]: one policy per user, every
+/// registered user's policy run every round, counters kept the way the
+/// shard keeps them.
+struct Eager<P> {
+    users: BTreeMap<UserId, P>,
+    factory: fn() -> P,
+    ladder: Arc<richnote_core::PresentationLadder>,
+    round: u64,
+    ingested: u64,
+    selected: u64,
+    bytes_budgeted: u64,
+    bytes_spent: u64,
+}
+
+impl<P: Policy + Send> Eager<P> {
+    fn new(factory: fn() -> P) -> Self {
+        Eager {
+            users: BTreeMap::new(),
+            factory,
+            ladder: Arc::new(richnote_core::AudioPresentationSpec::paper_default().ladder()),
+            round: 0,
+            ingested: 0,
+            selected: 0,
+            bytes_budgeted: 0,
+            bytes_spent: 0,
+        }
+    }
+
+    fn ingest(&mut self, cfg: &ServerConfig, user: UserId, item: &ContentItem) {
+        self.users.entry(user).or_insert_with(self.factory).enqueue(QueuedNotification {
+            enqueued_at: self.round as f64 * cfg.round_secs,
+            ladder: Arc::clone(&self.ladder),
+            content_utility: content_utility(item),
+            item: item.clone(),
+        });
+        self.ingested += 1;
+    }
+
+    fn run_round(&mut self, cfg: &ServerConfig) -> Vec<(UserId, ContentId, u8)> {
+        let ctx = RoundContext::builder(&cfg.cost)
+            .round(self.round)
+            .now(self.round as f64 * cfg.round_secs)
+            .round_secs(cfg.round_secs)
+            .link_capacity(cfg.link_capacity)
+            .data_grant(cfg.data_grant)
+            .energy_grant(cfg.energy_grant)
+            .build();
+        let mut selected = Vec::new();
+        for (&user, policy) in &mut self.users {
+            self.bytes_budgeted += cfg.data_grant;
+            for d in policy.select_round(&ctx, &mut NoopObserver) {
+                self.bytes_spent += d.size;
+                selected.push((user, d.content, d.level));
+            }
+        }
+        self.selected += selected.len() as u64;
+        self.round += 1;
+        selected
+    }
+
+    /// The shard checkpoint an eager shard would write; the wall-clock
+    /// latency histogram is taken from `like`, the only field it cannot
+    /// reproduce.
+    fn checkpoint(&self, like: &ShardCheckpoint) -> ShardCheckpoint {
+        ShardCheckpoint {
+            shard: like.shard,
+            round: self.round,
+            ingested: self.ingested,
+            selected: self.selected,
+            bytes_budgeted: self.bytes_budgeted,
+            bytes_spent: self.bytes_spent,
+            latency: like.latency.clone(),
+            users: self
+                .users
+                .iter()
+                .map(|(&user, p)| UserCheckpoint { user, scheduler: p.checkpoint() })
+                .collect(),
+        }
+    }
+}
+
+/// A checkpoint's serialized form (the body a checkpoint file carries).
+fn checkpoint_bytes(ck: &ShardCheckpoint) -> String {
+    serde_json::to_string(ck).expect("checkpoints serialize")
+}
+
+/// Drives a [`ShardState`] and the eager reference through one schedule:
+/// per-round selections must match, and so must checkpoints taken at
+/// random rounds, byte for byte.
+fn assert_shard_matches_eager<P: Policy + Send>(seed: u64, factory: fn() -> P) {
+    let cfg = sparse_config(seed);
+    let schedule = sparse_schedule(seed, 150);
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0xc4ec);
+    let mut shard = ShardState::with_policy(0, cfg.clone(), factory);
+    let mut eager = Eager::new(factory);
+    for (round, batch) in schedule.iter().enumerate() {
+        for (user, item) in batch {
+            shard.ingest(*user, item.clone(), Instant::now(), None);
+            eager.ingest(&cfg, *user, item);
+        }
+        let out = shard.run_round();
+        assert_eq!(out.selected, eager.run_round(&cfg), "seed {seed}: round {round} diverged");
+        if rng.gen_bool(0.08) || round + 1 == schedule.len() {
+            let ck = shard.checkpoint();
+            assert!(
+                checkpoint_bytes(&ck) == checkpoint_bytes(&eager.checkpoint(&ck)),
+                "seed {seed}: checkpoint after round {round} differs from the eager loop's"
+            );
+        }
+    }
+}
+
+#[test]
+fn idle_users_skip_rounds_like_an_eager_loop() {
+    for seed in 0..12 {
+        assert_shard_matches_eager(seed, || RichNoteScheduler::builder().build());
+        for name in PolicyName::ALL {
+            assert_shard_matches_eager(seed, name.factory());
+        }
+    }
+}
+
+#[test]
+fn idle_users_survive_checkpoint_restore() {
+    let mut idle_then_woken = 0;
+    for seed in 100..112 {
+        for name in PolicyName::ALL {
+            let factory = name.factory();
+            let cfg = sparse_config(seed);
+            let schedule = sparse_schedule(seed, 120);
+            let cut = SmallRng::seed_from_u64(seed).gen_range(10..110);
+
+            let mut whole = ShardState::with_policy(0, cfg.clone(), factory);
+            let mut cut_run = ShardState::with_policy(0, cfg.clone(), factory);
+            let mut tail_whole = Vec::new();
+            let mut tail_restored = Vec::new();
+            for (round, batch) in schedule.iter().enumerate() {
+                if round == cut {
+                    // Through the checkpoint's JSON form, as a restart reads it.
+                    let bytes = checkpoint_bytes(&cut_run.checkpoint());
+                    let ck: ShardCheckpoint = serde_json::from_str(&bytes).unwrap();
+                    let idle: Vec<UserId> = ck
+                        .users
+                        .iter()
+                        .filter(|u| {
+                            <Box<dyn Policy + Send>>::restore(u.scheduler.clone())
+                                .unwrap()
+                                .backlog()
+                                == 0
+                        })
+                        .map(|u| u.user)
+                        .collect();
+                    idle_then_woken += schedule[cut..]
+                        .iter()
+                        .flatten()
+                        .filter(|(user, _)| idle.contains(user))
+                        .count();
+                    cut_run = ShardState::restore_with(0, cfg.clone(), ck, factory).unwrap();
+                }
+                for (user, item) in batch {
+                    whole.ingest(*user, item.clone(), Instant::now(), None);
+                    cut_run.ingest(*user, item.clone(), Instant::now(), None);
+                }
+                let (a, b) = (whole.run_round(), cut_run.run_round());
+                if round < cut {
+                    assert_eq!(a, b, "seed {seed} {name}: round {round} before the cut");
+                } else {
+                    tail_whole.push(a);
+                    tail_restored.push(b);
+                }
+            }
+            assert_eq!(tail_whole, tail_restored, "seed {seed} {name}: diverged after the restore");
+            let (mut a, b) = (whole.checkpoint(), cut_run.checkpoint());
+            a.latency = b.latency.clone();
+            assert!(
+                checkpoint_bytes(&a) == checkpoint_bytes(&b),
+                "seed {seed} {name}: final checkpoints differ"
+            );
+        }
+    }
+    assert!(idle_then_woken > 0, "no user was idle across a restore and then received work");
 }
